@@ -19,6 +19,7 @@ import (
 	"xgrammar/internal/maskcache"
 	"xgrammar/internal/matcher"
 	"xgrammar/internal/pda"
+	"xgrammar/internal/serve"
 	"xgrammar/internal/tokenizer"
 	"xgrammar/internal/workload"
 )
@@ -43,7 +44,7 @@ var (
 type experimentsSchema struct {
 	task workload.SchemaTask
 	pda  *pda.PDA
-	xg   *baselines.XGBackend
+	xg   *serve.SessionPool
 	fsm  *baselines.RegexFSM
 	cw   *baselines.CharWalk
 	lcp  *baselines.LlamaCpp
@@ -76,7 +77,7 @@ func benchSetup(b *testing.B) {
 		}
 		cache := maskcache.Build(p, benchTok, maskcache.Options{ContextExpansion: true})
 		es := &experimentsSchema{task: task, pda: p}
-		es.xg = baselines.NewXGBackend(p, cache, benchTok, "xgrammar")
+		es.xg = serve.NewSessionPool(p, cache, benchTok, 0)
 		es.lcp = baselines.NewLlamaCpp(p, benchTok)
 		if fsm, err := baselines.NewRegexFSM(g, benchTok); err == nil {
 			fsm.PrecomputeAll()
@@ -90,10 +91,10 @@ func benchSetup(b *testing.B) {
 }
 
 // stepBench measures per-step mask generation while replaying docs.
-func stepBench(b *testing.B, backend baselines.Backend, docs []string) {
+func stepBench(b *testing.B, backend serve.Grammar, docs []string) {
 	b.Helper()
 	mask := bitset.New(benchTok.VocabSize())
-	var sess baselines.Session
+	var sess serve.GrammarSession
 	var ids []int32
 	doc, pos := 0, 0
 	reset := func() {
@@ -149,7 +150,7 @@ func BenchmarkFig9SchemaLlamaCpp(b *testing.B) {
 
 func BenchmarkFig9CFGJSONXGrammar(b *testing.B) {
 	benchSetup(b)
-	stepBench(b, baselines.NewXGBackend(benchEnv.jsonOpt, benchEnv.cacheFull, benchTok, "xgrammar"), benchEnv.jsonDocs)
+	stepBench(b, serve.NewSessionPool(benchEnv.jsonOpt, benchEnv.cacheFull, benchTok, 0), benchEnv.jsonDocs)
 }
 
 func BenchmarkFig9CFGJSONOutlines(b *testing.B) {
@@ -166,14 +167,14 @@ func BenchmarkFig9CFGXMLXGrammar(b *testing.B) {
 	benchSetup(b)
 	p, _ := pda.Compile(builtin.XML(), pda.AllOptimizations)
 	c := maskcache.Build(p, benchTok, maskcache.Options{ContextExpansion: true})
-	stepBench(b, baselines.NewXGBackend(p, c, benchTok, "xgrammar"), workload.XMLDocs(6, 8))
+	stepBench(b, serve.NewSessionPool(p, c, benchTok, 0), workload.XMLDocs(6, 8))
 }
 
 func BenchmarkFig9CFGPythonXGrammar(b *testing.B) {
 	benchSetup(b)
 	p, _ := pda.Compile(builtin.PythonDSL(), pda.AllOptimizations)
 	c := maskcache.Build(p, benchTok, maskcache.Options{ContextExpansion: true})
-	stepBench(b, baselines.NewXGBackend(p, c, benchTok, "xgrammar"), workload.PythonPrograms(6, 9))
+	stepBench(b, serve.NewSessionPool(p, c, benchTok, 0), workload.PythonPrograms(6, 9))
 }
 
 // --- Table 3: ablation ----------------------------------------------------
@@ -190,22 +191,22 @@ func BenchmarkTab3NodeMerging(b *testing.B) {
 
 func BenchmarkTab3AdaptiveCache(b *testing.B) {
 	benchSetup(b)
-	stepBench(b, baselines.NewXGBackend(benchEnv.jsonMerged, benchEnv.cacheMerge, benchTok, "xgrammar"), benchEnv.jsonDocs)
+	stepBench(b, serve.NewSessionPool(benchEnv.jsonMerged, benchEnv.cacheMerge, benchTok, 0), benchEnv.jsonDocs)
 }
 
 func BenchmarkTab3RuleInlining(b *testing.B) {
 	benchSetup(b)
-	stepBench(b, baselines.NewXGBackend(benchEnv.jsonOpt, benchEnv.cacheNoCtx, benchTok, "xgrammar"), benchEnv.jsonDocs)
+	stepBench(b, serve.NewSessionPool(benchEnv.jsonOpt, benchEnv.cacheNoCtx, benchTok, 0), benchEnv.jsonDocs)
 }
 
 func BenchmarkTab3ContextExpansion(b *testing.B) {
 	benchSetup(b)
-	stepBench(b, baselines.NewXGBackend(benchEnv.jsonOpt, benchEnv.cacheFull, benchTok, "xgrammar"), benchEnv.jsonDocs)
+	stepBench(b, serve.NewSessionPool(benchEnv.jsonOpt, benchEnv.cacheFull, benchTok, 0), benchEnv.jsonDocs)
 }
 
 // --- Figure 10 / Tables 1-2: end-to-end engine ---------------------------
 
-func e2eBench(b *testing.B, mode engine.Mode, backend baselines.Backend, batch int, jf bool) {
+func e2eBench(b *testing.B, mode engine.Mode, backend serve.Grammar, batch int, jf bool) {
 	b.Helper()
 	targets := make([]string, batch)
 	for i := range targets {
@@ -233,12 +234,12 @@ func e2eBench(b *testing.B, mode engine.Mode, backend baselines.Backend, batch i
 
 func BenchmarkFig10XGrammarBatch1(b *testing.B) {
 	benchSetup(b)
-	e2eBench(b, engine.Overlap, baselines.NewXGBackend(benchEnv.jsonOpt, benchEnv.cacheFull, benchTok, "xgrammar"), 1, false)
+	e2eBench(b, engine.Overlap, serve.NewSessionPool(benchEnv.jsonOpt, benchEnv.cacheFull, benchTok, 0), 1, false)
 }
 
 func BenchmarkFig10XGrammarBatch16(b *testing.B) {
 	benchSetup(b)
-	e2eBench(b, engine.Overlap, baselines.NewXGBackend(benchEnv.jsonOpt, benchEnv.cacheFull, benchTok, "xgrammar"), 16, false)
+	e2eBench(b, engine.Overlap, serve.NewSessionPool(benchEnv.jsonOpt, benchEnv.cacheFull, benchTok, 0), 16, false)
 }
 
 func BenchmarkFig10OutlinesCFGBatch1(b *testing.B) {
@@ -263,7 +264,7 @@ func BenchmarkTab1OutlinesFSMSchema(b *testing.B) {
 
 func BenchmarkTab2ConstrainedOverheadCPU(b *testing.B) {
 	benchSetup(b)
-	e2eBench(b, engine.Overlap, baselines.NewXGBackend(benchEnv.jsonOpt, benchEnv.cacheFull, benchTok, "xgrammar"), 1, false)
+	e2eBench(b, engine.Overlap, serve.NewSessionPool(benchEnv.jsonOpt, benchEnv.cacheFull, benchTok, 0), 1, false)
 }
 
 // --- Figure 11: jump-forward ----------------------------------------------

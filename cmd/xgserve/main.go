@@ -164,7 +164,8 @@ func main() {
 		dmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		dmux.Handle("GET /metrics", gw)
 		dmux.Handle("GET /debug/requests", gw)
-		debugSrv = &http.Server{Addr: *debugAddr, Handler: dmux}
+		debugSrv = &http.Server{Addr: *debugAddr, Handler: dmux,
+			ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 		go func() {
 			fmt.Fprintf(os.Stderr, "xgserve: debug endpoints (pprof, traces) on %s\n", *debugAddr)
 			if err := debugSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
@@ -173,7 +174,8 @@ func main() {
 		}()
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: gw}
+	httpSrv := &http.Server{Addr: *addr, Handler: gw,
+		ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -198,6 +200,17 @@ func main() {
 	}
 	<-done
 }
+
+// Connection deadlines for both listeners, so a slow or idle client cannot
+// hold a connection open indefinitely. There is deliberately no
+// WriteTimeout: a generation streams over SSE for as long as it decodes
+// (bounded by -max-tokens), and a whole-response write deadline would cut
+// long generations off mid-stream. A client that disconnects cancels its
+// request context, which retires the sequence.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
+)
 
 // multiFlag collects repeated flag values.
 type multiFlag []string

@@ -1,10 +1,11 @@
 // Package backend defines the pluggable model-backend abstraction the
 // decode stack is built on: prompt/context in, masked next-token out, plus a
 // draft-proposal hook for speculative decoding. The grammar side of the
-// system (internal/baselines.Backend, the mask compiler, the serving
-// sessions) constrains WHAT may be emitted; a model backend decides WHICH of
-// the allowed tokens is emitted — and, through its Timing profile, how long
-// the accelerator side of a decode step is modelled to take.
+// system (the serve.Grammar session contract, the mask compiler, the
+// serving sessions) constrains WHAT may be emitted; a model backend decides
+// WHICH of the allowed tokens is emitted — and, through its Timing
+// profile, how long the accelerator side of a decode step is modelled to
+// take.
 //
 // Two implementations ship with the repo: internal/backend/simllm adapts
 // the teacher-forced simulated LLM (internal/llmsim) and the gateway's

@@ -9,9 +9,11 @@
 //     (the lexer+parser path, approximated with the shared-prefix PDA scan).
 //   - lm-format-enforcer: per-step token-trie × DFA walk with no
 //     precomputation; regex-representable tasks only (CharWalk).
-//   - XGrammar itself (XGBackend), for uniform benchmarking.
 //
-// All backends share one interface so the experiment harness can swap them.
+// Every comparator implements the runtime grammar-session contract
+// (serve.Grammar / serve.GrammarSession), the same one XGrammar's own
+// serve.SessionPool implements, so the experiment harness and the
+// differential oracle tests swap them freely.
 package baselines
 
 import (
@@ -21,35 +23,6 @@ import (
 	"xgrammar/internal/grammar"
 	"xgrammar/internal/tokenizer"
 )
-
-// Backend compiles one grammar for one tokenizer and creates sessions.
-type Backend interface {
-	// Name identifies the backend in experiment tables.
-	Name() string
-	// NewSession starts a fresh generation.
-	NewSession() Session
-}
-
-// Session tracks one constrained generation.
-type Session interface {
-	// FillMask writes the allowed-token bitmask for the next step.
-	FillMask(mask *bitset.Bitset)
-	// Accept advances by one token (EOS terminates).
-	Accept(id int32) error
-	// CanTerminate reports whether EOS is currently legal.
-	CanTerminate() bool
-	// IsTerminated reports whether EOS was accepted.
-	IsTerminated() bool
-}
-
-// WarmBackend is implemented by grammar backends whose sessions can start
-// pre-advanced past a forced byte prefix (templated-workload warm start).
-// replayed reports how many of the prefix's bytes were actually fed through
-// the matcher — the rest were restored from cached checkpoints.
-type WarmBackend interface {
-	Backend
-	NewWarmSession(prefix []byte) (s Session, replayed int, err error)
-}
 
 // ErrUnsupported is returned by backends that cannot handle a grammar class
 // (e.g. recursion in regex-based engines).

@@ -10,6 +10,7 @@ import (
 	"xgrammar/internal/jsonschema"
 	"xgrammar/internal/maskcache"
 	"xgrammar/internal/pda"
+	"xgrammar/internal/serve"
 	"xgrammar/internal/tokenizer"
 	"xgrammar/internal/workload"
 )
@@ -29,12 +30,12 @@ func compilePDA(t testing.TB, g *grammar.Grammar) *pda.PDA {
 }
 
 // allBackendsFor builds every applicable backend for a grammar.
-func allBackendsFor(t *testing.T, g *grammar.Grammar, tok *tokenizer.Tokenizer) []Backend {
+func allBackendsFor(t *testing.T, g *grammar.Grammar, tok *tokenizer.Tokenizer) []serve.Grammar {
 	t.Helper()
 	p := compilePDA(t, g)
 	cache := maskcache.Build(p, tok, maskcache.Options{ContextExpansion: true})
-	backends := []Backend{
-		NewXGBackend(p, cache, tok, ""),
+	backends := []serve.Grammar{
+		serve.NewSessionPool(p, cache, tok, 0),
 		NewLlamaCpp(p, tok),
 		NewOutlinesCFG(p, tok),
 	}
@@ -60,7 +61,7 @@ func TestBackendsAgreeOnSchemaTask(t *testing.T) {
 	if len(backends) != 5 {
 		t.Fatalf("expected 5 backends (incl. regex ones), got %d", len(backends))
 	}
-	sessions := make([]Session, len(backends))
+	sessions := make([]serve.GrammarSession, len(backends))
 	for i, b := range backends {
 		sessions[i] = b.NewSession()
 	}
@@ -110,12 +111,12 @@ func TestBackendsAgreeOnCFG(t *testing.T) {
 	g := builtin.JSON()
 	p := compilePDA(t, g)
 	cache := maskcache.Build(p, tok, maskcache.Options{ContextExpansion: true})
-	backends := []Backend{
-		NewXGBackend(p, cache, tok, ""),
+	backends := []serve.Grammar{
+		serve.NewSessionPool(p, cache, tok, 0),
 		NewLlamaCpp(p, tok),
 		NewOutlinesCFG(p, tok),
 	}
-	sessions := make([]Session, len(backends))
+	sessions := make([]serve.GrammarSession, len(backends))
 	for i, b := range backends {
 		sessions[i] = b.NewSession()
 	}

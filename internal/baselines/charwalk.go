@@ -6,6 +6,7 @@ import (
 	"xgrammar/internal/bitset"
 	"xgrammar/internal/fsa"
 	"xgrammar/internal/grammar"
+	"xgrammar/internal/serve"
 	"xgrammar/internal/tokenizer"
 	"xgrammar/internal/trie"
 )
@@ -35,11 +36,11 @@ func NewCharWalk(g *grammar.Grammar, tok *tokenizer.Tokenizer) (*CharWalk, error
 	return &CharWalk{dfa: d, tok: tok, trie: trie.Build(tokens)}, nil
 }
 
-// Name implements Backend.
+// Name implements serve.Grammar.
 func (c *CharWalk) Name() string { return "lm-format-enforcer" }
 
-// NewSession implements Backend.
-func (c *CharWalk) NewSession() Session {
+// NewSession implements serve.Grammar.
+func (c *CharWalk) NewSession() serve.GrammarSession {
 	return &charWalkSession{c: c, cur: c.dfa.Start}
 }
 

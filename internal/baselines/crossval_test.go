@@ -9,6 +9,7 @@ import (
 	"xgrammar/internal/maskcache"
 	"xgrammar/internal/matcher"
 	"xgrammar/internal/pda"
+	"xgrammar/internal/serve"
 	"xgrammar/internal/tokenizer"
 )
 
@@ -225,7 +226,7 @@ func TestCrossValidationMasks(t *testing.T) {
 		}
 		checked++
 		cache := maskcache.Build(p, tok, maskcache.Options{ContextExpansion: true})
-		xg := NewXGBackend(p, cache, tok, "").NewSession()
+		xg := serve.NewSessionPool(p, cache, tok, 0).Acquire()
 		oracle := NewLlamaCpp(p, tok).NewSession()
 		got := bitset.New(tok.VocabSize())
 		want := bitset.New(tok.VocabSize())

@@ -6,6 +6,7 @@ import (
 	"xgrammar/internal/bitset"
 	"xgrammar/internal/fsa"
 	"xgrammar/internal/pda"
+	"xgrammar/internal/serve"
 	"xgrammar/internal/tokenizer"
 )
 
@@ -25,15 +26,15 @@ func NewLlamaCpp(p *pda.PDA, tok *tokenizer.Tokenizer) *LlamaCpp {
 	return &LlamaCpp{p: p, tok: tok}
 }
 
-// Name implements Backend.
+// Name implements serve.Grammar.
 func (l *LlamaCpp) Name() string { return "llama.cpp-grammar" }
 
 // vecState is a plain stack: elements are return nodes, the last element is
 // the current node. Copied wholesale on every branch, as llama.cpp does.
 type vecState []int32
 
-// NewSession implements Backend.
-func (l *LlamaCpp) NewSession() Session {
+// NewSession implements serve.Grammar.
+func (l *LlamaCpp) NewSession() serve.GrammarSession {
 	s := &llamaSession{l: l}
 	s.states = s.closure([]vecState{{l.p.RuleStart[l.p.Root]}})
 	return s
@@ -135,7 +136,7 @@ func (s *llamaSession) matchToken(tb []byte) bool {
 	return true
 }
 
-// FillMask implements Session by scanning the whole vocabulary.
+// FillMask implements serve.GrammarSession by scanning the whole vocabulary.
 func (s *llamaSession) FillMask(mask *bitset.Bitset) {
 	mask.ClearAll()
 	if s.terminated {
@@ -153,7 +154,7 @@ func (s *llamaSession) FillMask(mask *bitset.Bitset) {
 	finishMask(mask, s.l.tok, s.CanTerminate())
 }
 
-// CanTerminate implements Session.
+// CanTerminate implements serve.GrammarSession.
 func (s *llamaSession) CanTerminate() bool {
 	for _, st := range s.states {
 		if len(st) == 1 && s.l.p.Nodes[st[0]].Final {
@@ -163,10 +164,10 @@ func (s *llamaSession) CanTerminate() bool {
 	return false
 }
 
-// IsTerminated implements Session.
+// IsTerminated implements serve.GrammarSession.
 func (s *llamaSession) IsTerminated() bool { return s.terminated }
 
-// Accept implements Session.
+// Accept implements serve.GrammarSession.
 func (s *llamaSession) Accept(id int32) error {
 	if s.terminated {
 		return fmt.Errorf("llama.cpp-grammar: already terminated")

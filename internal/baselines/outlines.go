@@ -10,6 +10,7 @@ import (
 	"xgrammar/internal/maskcache"
 	"xgrammar/internal/matcher"
 	"xgrammar/internal/pda"
+	"xgrammar/internal/serve"
 	"xgrammar/internal/tokenizer"
 	"xgrammar/internal/trie"
 )
@@ -80,7 +81,7 @@ func NewRegexFSM(g *grammar.Grammar, tok *tokenizer.Tokenizer) (*RegexFSM, error
 	}, nil
 }
 
-// Name implements Backend.
+// Name implements serve.Grammar.
 func (r *RegexFSM) Name() string { return "outlines-fsm" }
 
 // PrecomputeAll walks every reachable DFA state eagerly (Outlines builds its
@@ -142,8 +143,8 @@ func (r *RegexFSM) index(s int32) []uint64 {
 	return mask
 }
 
-// NewSession implements Backend.
-func (r *RegexFSM) NewSession() Session {
+// NewSession implements serve.Grammar.
+func (r *RegexFSM) NewSession() serve.GrammarSession {
 	return &fsmSession{r: r, cur: r.dfa.Start}
 }
 
@@ -260,11 +261,11 @@ func NewOutlinesCFG(p *pda.PDA, tok *tokenizer.Tokenizer) *OutlinesCFG {
 	return &OutlinesCFG{p: p, tok: tok}
 }
 
-// Name implements Backend.
+// Name implements serve.Grammar.
 func (o *OutlinesCFG) Name() string { return "outlines-cfg" }
 
-// NewSession implements Backend.
-func (o *OutlinesCFG) NewSession() Session {
+// NewSession implements serve.Grammar.
+func (o *OutlinesCFG) NewSession() serve.GrammarSession {
 	exec := matcher.NewExec(o.p)
 	return &outlinesCFGSession{o: o, exec: exec, m: matcher.New(exec, 0)}
 }

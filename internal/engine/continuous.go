@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"xgrammar/internal/backend"
-	"xgrammar/internal/baselines"
 	"xgrammar/internal/bitset"
 	"xgrammar/internal/maskcache"
 	"xgrammar/internal/quantile"
@@ -28,16 +27,10 @@ type StreamRequest struct {
 	// Grammar supplies this request's grammar sessions; nil falls back to
 	// StreamConfig.Grammar. When both are nil (or the mode is Unconstrained)
 	// the sequence decodes without grammar constraints.
-	Grammar baselines.Backend
+	Grammar serve.Grammar
 	// GrammarInit is the grammar resolve cost charged at admission (zero for
 	// a compiled-grammar cache hit).
 	GrammarInit time.Duration
-	// ForcedPrefix is a byte prefix the grammar session starts past — the
-	// templated scaffold shared across requests. Warm-capable backends
-	// (baselines.WarmBackend) join through the acquisition layer and restore
-	// it from cached checkpoints; other backends replay it cold at
-	// admission. Output is byte-identical either way.
-	ForcedPrefix []byte
 }
 
 // StreamConfig configures a continuous-batching run.
@@ -46,7 +39,7 @@ type StreamConfig struct {
 	Model backend.Backend
 	Mode  Mode
 	// Grammar is the default grammar backend for requests without their own.
-	Grammar baselines.Backend
+	Grammar serve.Grammar
 	Tok     *tokenizer.Tokenizer
 	// MaxBatch bounds the number of sequences decoding concurrently; 0 is
 	// unbounded. Arrived requests beyond the bound queue until a running
@@ -328,27 +321,7 @@ func (r *runner) admit(sr *StreamRequest, index int) (*streamSeq, error) {
 		grammar = r.cfg.Grammar
 	}
 	if r.cfg.Mode != Unconstrained && grammar != nil {
-		if len(sr.ForcedPrefix) > 0 {
-			if wb, ok := grammar.(baselines.WarmBackend); ok {
-				sess, _, err := wb.NewWarmSession(sr.ForcedPrefix)
-				if err != nil {
-					return nil, fmt.Errorf("engine: warm-start session for %s: %w", sr.Req, err)
-				}
-				s.session = sess
-			} else {
-				sess := grammar.NewSession()
-				jf, ok := sess.(baselines.JumpForwarder)
-				if !ok {
-					return nil, fmt.Errorf("engine: grammar backend %s cannot accept a forced prefix", grammar.Name())
-				}
-				if err := jf.AcceptString(string(sr.ForcedPrefix)); err != nil {
-					return nil, fmt.Errorf("engine: forced prefix for %s: %w", sr.Req, err)
-				}
-				s.session = sess
-			}
-		} else {
-			s.session = grammar.NewSession()
-		}
+		s.session = grammar.NewSession()
 		if n := len(r.maskFree); n > 0 {
 			s.mask = r.maskFree[n-1]
 			r.maskFree = r.maskFree[:n-1]
@@ -402,9 +375,7 @@ func (r *runner) leave(i int) {
 		s.seq = nil
 	}
 	if s.session != nil {
-		if c, ok := s.session.(interface{ Close() }); ok {
-			c.Close()
-		}
+		closeSession(s.session)
 		s.session = nil
 	}
 	if s.mask != nil {
@@ -415,6 +386,14 @@ func (r *runner) leave(i int) {
 	r.running = r.running[:len(r.running)-1]
 	r.met.Leaves++
 	r.finishedSeqs = append(r.finishedSeqs, s)
+}
+
+// closeSession returns a pooled grammar session to its pool; sessions of
+// unpooled grammars have no Close.
+func closeSession(sess serve.GrammarSession) {
+	if c, ok := sess.(interface{ Close() }); ok {
+		c.Close()
+	}
 }
 
 // failSeq abandons a sequence whose model backend failed: it is marked done
@@ -745,7 +724,7 @@ func (r *runner) jumpForward(s *streamSeq) error {
 	if !r.cfg.JumpForward || s.session == nil {
 		return nil
 	}
-	jf, ok := s.session.(baselines.JumpForwarder)
+	jf, ok := s.session.(serve.JumpForwarder)
 	if !ok {
 		return nil
 	}

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"xgrammar/internal/baselines"
 	"xgrammar/internal/builtin"
 	"xgrammar/internal/llmsim"
 	"xgrammar/internal/maskcache"
@@ -14,9 +13,9 @@ import (
 	"xgrammar/internal/workload"
 )
 
-// pooledSetup builds a pooled XGrammar backend over the builtin JSON grammar
-// and a second (schema) backend, for mixed-grammar batches.
-func pooledSetup(t testing.TB) (*tokenizer.Tokenizer, *baselines.PooledXGBackend, *baselines.PooledXGBackend, workload.SchemaTask) {
+// pooledSetup builds a session pool over the builtin JSON grammar and a
+// second (schema) pool, for mixed-grammar batches.
+func pooledSetup(t testing.TB) (*tokenizer.Tokenizer, *serve.SessionPool, *serve.SessionPool, workload.SchemaTask) {
 	t.Helper()
 	tok := tokenizer.BuildDefault(500)
 	jsonPDA, err := pda.Compile(builtin.JSON(), pda.AllOptimizations)
@@ -38,13 +37,12 @@ func pooledSetup(t testing.TB) (*tokenizer.Tokenizer, *baselines.PooledXGBackend
 	schemaCache := maskcache.Build(schemaPDA, tok, maskcache.Options{ContextExpansion: true})
 	schemaPool := serve.NewSessionPool(schemaPDA, schemaCache, tok, 0)
 
-	return tok, baselines.NewPooledXGBackend(jsonPool, "json"),
-		baselines.NewPooledXGBackend(schemaPool, "schema"), task
+	return tok, jsonPool, schemaPool, task
 }
 
 // streamReqs builds staggered-arrival stream requests alternating between
 // the two grammars.
-func streamReqs(tok *tokenizer.Tokenizer, jsonB, schemaB baselines.Backend, task workload.SchemaTask, n int, gap time.Duration) []*StreamRequest {
+func streamReqs(tok *tokenizer.Tokenizer, jsonB, schemaB serve.Grammar, task workload.SchemaTask, n int, gap time.Duration) []*StreamRequest {
 	jsonDocs := workload.JSONDocs(n, 99)
 	reqs := make([]*StreamRequest, n)
 	for i := 0; i < n; i++ {
@@ -101,8 +99,8 @@ func TestContinuousJoinLeave(t *testing.T) {
 		t.Fatalf("fill percentiles inconsistent: p50=%v p99=%v", met.FillP50, met.FillP99)
 	}
 	// With 9 sequences through a 3-slot batch the pools must have recycled.
-	jp := jsonB.Pool().Stats()
-	sp := schemaB.Pool().Stats()
+	jp := jsonB.Stats()
+	sp := schemaB.Stats()
 	if jp.Reused == 0 && sp.Reused == 0 {
 		t.Fatalf("no session reuse across join/leave: json=%+v schema=%+v", jp, sp)
 	}

@@ -10,14 +10,15 @@
 //
 // The engine never names a model implementation: every sequence's tokens
 // come from a backend.Sequence (teacher-forced simulation, an HTTP model
-// server, ...), and the grammar side stays in baselines.Backend sessions.
+// server, ...), and the grammar side stays behind the serve.Grammar session
+// contract.
 package engine
 
 import (
 	"time"
 
 	"xgrammar/internal/backend"
-	"xgrammar/internal/baselines"
+	"xgrammar/internal/serve"
 	"xgrammar/internal/tokenizer"
 )
 
@@ -66,7 +67,7 @@ type Config struct {
 	Model backend.Backend
 	Mode  Mode
 	// Grammar supplies grammar sessions; ignored when Mode==Unconstrained.
-	Grammar baselines.Backend
+	Grammar serve.Grammar
 	Tok     *tokenizer.Tokenizer
 	// JumpForward enables forced-token insertion when the grammar session
 	// supports it.
@@ -112,7 +113,7 @@ func (m Metrics) TokensPerSecond() float64 {
 type seqState struct {
 	req       *backend.Request
 	seq       backend.Sequence
-	session   baselines.Session
+	session   serve.GrammarSession
 	idx       int // position in the caller's request slice
 	outTokens int
 	done      bool

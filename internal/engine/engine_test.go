@@ -5,16 +5,16 @@ import (
 	"testing"
 	"time"
 
-	"xgrammar/internal/baselines"
 	"xgrammar/internal/builtin"
 	"xgrammar/internal/llmsim"
 	"xgrammar/internal/maskcache"
 	"xgrammar/internal/pda"
+	"xgrammar/internal/serve"
 	"xgrammar/internal/tokenizer"
 	"xgrammar/internal/workload"
 )
 
-func testSetup(t testing.TB) (*tokenizer.Tokenizer, baselines.Backend) {
+func testSetup(t testing.TB) (*tokenizer.Tokenizer, serve.Grammar) {
 	t.Helper()
 	tok := tokenizer.BuildDefault(500)
 	p, err := pda.Compile(builtin.JSON(), pda.AllOptimizations)
@@ -22,7 +22,7 @@ func testSetup(t testing.TB) (*tokenizer.Tokenizer, baselines.Backend) {
 		t.Fatal(err)
 	}
 	cache := maskcache.Build(p, tok, maskcache.Options{ContextExpansion: true})
-	return tok, baselines.NewXGBackend(p, cache, tok, "")
+	return tok, serve.NewSessionPool(p, cache, tok, 0)
 }
 
 func testProfile() llmsim.Profile {
@@ -112,7 +112,7 @@ func TestJumpForwardReducesSteps(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache := maskcache.Build(p, tok, maskcache.Options{ContextExpansion: true})
-	backend := baselines.NewXGBackend(p, cache, tok, "")
+	backend := serve.NewSessionPool(p, cache, tok, 0)
 	reqs := llmsim.NewRequests([]string{task.Instance}, 139)
 	plain, outs, err := Run(Config{Model: testModel(tok), Mode: Overlap, Grammar: backend, Tok: tok}, reqs)
 	if err != nil {

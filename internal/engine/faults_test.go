@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"xgrammar/internal/backend"
-	"xgrammar/internal/baselines"
 	"xgrammar/internal/llmsim"
 	"xgrammar/internal/tokenizer"
 )
@@ -292,7 +291,7 @@ func TestFaultPoolReuseAfterFailure(t *testing.T) {
 	if met.ModelErrors != 3 {
 		t.Fatalf("ModelErrors = %d, want 3", met.ModelErrors)
 	}
-	if st := grammar.(*baselines.PooledXGBackend).Pool().Stats(); st.Reused == 0 {
+	if st := grammar.Stats(); st.Reused == 0 {
 		t.Fatalf("failed sequences did not return sessions to the pool: %+v", st)
 	}
 }

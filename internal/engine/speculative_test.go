@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"xgrammar/internal/baselines"
 	"xgrammar/internal/builtin"
 	"xgrammar/internal/llmsim"
 	"xgrammar/internal/maskcache"
@@ -14,9 +13,9 @@ import (
 	"xgrammar/internal/workload"
 )
 
-// specSetup builds a pooled JSON backend with a configurable rollback
+// specSetup builds a JSON session pool with a configurable rollback
 // window and a staggered request stream over JSON documents.
-func specSetup(t testing.TB, maxHistory, n int) (*tokenizer.Tokenizer, baselines.Backend, []*llmsim.Request) {
+func specSetup(t testing.TB, maxHistory, n int) (*tokenizer.Tokenizer, *serve.SessionPool, []*llmsim.Request) {
 	t.Helper()
 	tok := tokenizer.BuildDefault(500)
 	p, err := pda.Compile(builtin.JSON(), pda.AllOptimizations)
@@ -25,11 +24,10 @@ func specSetup(t testing.TB, maxHistory, n int) (*tokenizer.Tokenizer, baselines
 	}
 	cache := maskcache.Build(p, tok, maskcache.Options{ContextExpansion: true})
 	pool := serve.NewSessionPool(p, cache, tok, maxHistory)
-	backend := baselines.NewPooledXGBackend(pool, "json")
-	return tok, backend, llmsim.NewRequests(workload.JSONDocs(n, 42), 64)
+	return tok, pool, llmsim.NewRequests(workload.JSONDocs(n, 42), 64)
 }
 
-func runMode(t *testing.T, tok *tokenizer.Tokenizer, backend baselines.Backend, reqs []*llmsim.Request, mode Mode, spec SpecOptions, acc float64, dseed int64, jf bool) (StreamMetrics, []string) {
+func runMode(t *testing.T, tok *tokenizer.Tokenizer, backend serve.Grammar, reqs []*llmsim.Request, mode Mode, spec SpecOptions, acc float64, dseed int64, jf bool) (StreamMetrics, []string) {
 	t.Helper()
 	streams := make([]*StreamRequest, len(reqs))
 	for i, r := range reqs {

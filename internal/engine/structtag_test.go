@@ -11,7 +11,7 @@ import (
 
 // tagTestSetup compiles a two-tag structural-tag backend over the shared
 // 500-token test tokenizer.
-func tagTestSetup(t testing.TB) (*structtag.Backend, *xgrammar.TokenizerInfo) {
+func tagTestSetup(t testing.TB) (*structtag.Set, *xgrammar.TokenizerInfo) {
 	t.Helper()
 	info := xgrammar.DefaultTokenizer(500)
 	comp := xgrammar.NewCompiler(info)
@@ -38,7 +38,7 @@ func tagTestSetup(t testing.TB) (*structtag.Backend, *xgrammar.TokenizerInfo) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return structtag.NewBackend(ts.Dispatch(), "tags"), info
+	return ts.Dispatch(), info
 }
 
 // tagTargets interleave free text with schema-valid tagged segments.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"xgrammar/internal/baselines"
 	"xgrammar/internal/builtin"
 	"xgrammar/internal/engine"
 	"xgrammar/internal/jsonschema"
@@ -12,6 +11,7 @@ import (
 	"xgrammar/internal/maskcache"
 	"xgrammar/internal/matcher"
 	"xgrammar/internal/pda"
+	"xgrammar/internal/serve"
 	"xgrammar/internal/workload"
 )
 
@@ -54,7 +54,7 @@ func (s *Suite) Tab4() *Table {
 		if validateAgainst(p, noisy) {
 			fcOK++
 		}
-		backend := xgBackend(p, maskcache.Build(p, s.Tok(), maskcacheOptions()), s)
+		backend := serve.NewSessionPool(p, maskcache.Build(p, s.Tok(), maskcacheOptions()), s.Tok(), 0)
 		if s.constrainedOutputValid(p, backend, task.Instance) {
 			fcOKConstrained++
 		}
@@ -66,7 +66,7 @@ func (s *Suite) Tab4() *Table {
 	// XML code generation: one shared grammar.
 	xmlDocs := workload.XMLDocs(n, 778)
 	xmlPDA := s.PDA("tab4-xml", builtin.XML(), pda.AllOptimizations)
-	xmlBackend := xgBackend(xmlPDA, s.Cache("tab4-xml", xmlPDA, maskcacheOptions()), s)
+	xmlBackend := serve.NewSessionPool(xmlPDA, s.Cache("tab4-xml", xmlPDA, maskcacheOptions()), s.Tok(), 0)
 	xmlOK, xmlOKConstrained := 0, 0
 	for _, doc := range xmlDocs {
 		noisy, _ := llmsim.MakeNoisy(doc, llmsim.XMLGenerationNoise(), rng)
@@ -86,7 +86,7 @@ func (s *Suite) Tab4() *Table {
 
 // constrainedOutputValid runs the constrained engine on the clean target
 // and validates the produced text — end to end, not by assumption.
-func (s *Suite) constrainedOutputValid(p *pda.PDA, backend *baselines.XGBackend, target string) bool {
+func (s *Suite) constrainedOutputValid(p *pda.PDA, backend *serve.SessionPool, target string) bool {
 	met, outs, err := engine.Run(engine.Config{
 		Model:    s.Model(llmsim.H100Llama8B()),
 		Mode:     engine.Overlap,

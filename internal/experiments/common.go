@@ -13,6 +13,7 @@ import (
 	"xgrammar/internal/llmsim"
 	"xgrammar/internal/maskcache"
 	"xgrammar/internal/pda"
+	"xgrammar/internal/serve"
 	"xgrammar/internal/tokenizer"
 	"xgrammar/internal/workload"
 )
@@ -145,12 +146,12 @@ func (s *Suite) Cache(key string, p *pda.PDA, opts maskcache.Options) *maskcache
 // InitTime returns the recorded preprocessing time for a cache key.
 func (s *Suite) InitTime(key string) time.Duration { return s.inits[key] }
 
-// XGrammarJSON returns the fully-optimized XGrammar backend for the
+// XGrammarJSON returns the fully-optimized XGrammar session pool for the
 // unconstrained-JSON CFG, with its preprocessing time.
-func (s *Suite) XGrammarJSON() (*baselines.XGBackend, time.Duration) {
+func (s *Suite) XGrammarJSON() (*serve.SessionPool, time.Duration) {
 	p := s.PDA("json-opt", builtin.JSON(), pda.AllOptimizations)
 	c := s.Cache("json-opt", p, maskcache.Options{ContextExpansion: true})
-	return baselines.NewXGBackend(p, c, s.Tok(), "xgrammar"), s.InitTime("json-opt")
+	return serve.NewSessionPool(p, c, s.Tok(), 0), s.InitTime("json-opt")
 }
 
 // SchemaArtifacts holds one schema task's compiled engines.
@@ -158,7 +159,7 @@ type SchemaArtifacts struct {
 	Task     workload.SchemaTask
 	Grammar  *grammar.Grammar
 	PDA      *pda.PDA
-	XG       *baselines.XGBackend
+	XG       *serve.SessionPool
 	XGInit   time.Duration
 	FSM      *baselines.RegexFSM
 	FSMInit  time.Duration
@@ -182,7 +183,7 @@ func (s *Suite) Schemas() []*SchemaArtifacts {
 			Task:     task,
 			Grammar:  g,
 			PDA:      p,
-			XG:       baselines.NewXGBackend(p, cache, s.Tok(), "xgrammar"),
+			XG:       serve.NewSessionPool(p, cache, s.Tok(), 0),
 			XGInit:   s.InitTime(key),
 			LlamaCpp: baselines.NewLlamaCpp(p, s.Tok()),
 		}
@@ -202,7 +203,7 @@ func (s *Suite) Schemas() []*SchemaArtifacts {
 
 // measureMaskLatency replays documents through a backend, timing FillMask at
 // every step. Returns the mean per-token latency and the steps measured.
-func (s *Suite) measureMaskLatency(b baselines.Backend, docs []string, stepCap int) (time.Duration, int) {
+func (s *Suite) measureMaskLatency(b serve.Grammar, docs []string, stepCap int) (time.Duration, int) {
 	tok := s.Tok()
 	mask := bitset.New(tok.VocabSize())
 	var total time.Duration

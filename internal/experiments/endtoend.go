@@ -8,6 +8,7 @@ import (
 	"xgrammar/internal/engine"
 	"xgrammar/internal/llmsim"
 	"xgrammar/internal/pda"
+	"xgrammar/internal/serve"
 )
 
 // e2eTargets returns the end-to-end workload: schema instances for the
@@ -63,7 +64,7 @@ func (s *Suite) Fig10() *Table {
 		task    string
 		name    string
 		mode    engine.Mode
-		backend baselines.Backend
+		backend serve.Grammar
 		init    time.Duration
 		jf      bool
 		targets []string
@@ -147,7 +148,7 @@ func (s *Suite) Tab2() *Table {
 	}
 	for _, tc := range []struct {
 		name    string
-		backend baselines.Backend
+		backend serve.Grammar
 		init    time.Duration
 		targets []string
 	}{
@@ -184,7 +185,7 @@ func (s *Suite) Fig11() *Table {
 	for _, rc := range []struct {
 		name    string
 		mode    engine.Mode
-		backend baselines.Backend
+		backend serve.Grammar
 		init    time.Duration
 	}{
 		{"Outlines", engine.Serial, art.FSM, art.FSMInit},

@@ -7,6 +7,7 @@ import (
 	"xgrammar/internal/baselines"
 	"xgrammar/internal/maskcache"
 	"xgrammar/internal/pda"
+	"xgrammar/internal/serve"
 )
 
 // Fig9 reproduces Figure 9: per-token mask generation latency (µs) for the
@@ -34,7 +35,7 @@ func (s *Suite) Fig9() *Table {
 
 	// JSON Schema task: per-schema grammars, regex engines applicable.
 	schemas := s.Schemas()
-	accum := func(engine, task string, b baselines.Backend, docs []string, cap int) {
+	accum := func(engine, task string, b serve.Grammar, docs []string, cap int) {
 		lat, steps := s.measureMaskLatency(b, docs, cap)
 		c := results[engine][task]
 		c.lat += lat * time.Duration(steps)
@@ -59,7 +60,7 @@ func (s *Suite) Fig9() *Table {
 		key := "fig9-" + task.name
 		pOpt := s.PDA(key+"-opt", task.grammar, pda.AllOptimizations)
 		cache := s.Cache(key+"-opt", pOpt, maskcache.Options{ContextExpansion: true})
-		xg := baselines.NewXGBackend(pOpt, cache, s.Tok(), "xgrammar")
+		xg := serve.NewSessionPool(pOpt, cache, s.Tok(), 0)
 		outl := baselines.NewOutlinesCFG(pOpt, s.Tok())
 		lcp := baselines.NewLlamaCpp(s.PDA(key+"-plain", task.grammar, pda.Options{}), s.Tok())
 		accum("xgrammar", task.name, xg, task.docs, s.FastStepCap)
@@ -100,30 +101,30 @@ func (s *Suite) Tab3() *Table {
 
 	type config struct {
 		name string
-		mk   func() baselines.Backend
+		mk   func() serve.Grammar
 		cap  int
 	}
 	configs := []config{
-		{"PDA baseline", func() baselines.Backend {
+		{"PDA baseline", func() serve.Grammar {
 			return baselines.NewLlamaCpp(s.PDA("tab3-plain", g, pda.Options{}), s.Tok())
 		}, s.SlowStepCap},
-		{"+ node merging", func() baselines.Backend {
+		{"+ node merging", func() serve.Grammar {
 			return baselines.NewLlamaCpp(s.PDA("tab3-merge", g, pda.Options{NodeMerging: true}), s.Tok())
 		}, s.SlowStepCap},
-		{"+ adaptive token mask cache", func() baselines.Backend {
+		{"+ adaptive token mask cache", func() serve.Grammar {
 			p := s.PDA("tab3-merge", g, pda.Options{NodeMerging: true})
 			c := s.Cache("tab3-cache", p, maskcache.Options{})
-			return baselines.NewXGBackend(p, c, s.Tok(), "xgrammar")
+			return serve.NewSessionPool(p, c, s.Tok(), 0)
 		}, s.FastStepCap},
-		{"+ rule inlining", func() baselines.Backend {
+		{"+ rule inlining", func() serve.Grammar {
 			p := s.PDA("tab3-inline", g, pda.AllOptimizations)
 			c := s.Cache("tab3-inline", p, maskcache.Options{})
-			return baselines.NewXGBackend(p, c, s.Tok(), "xgrammar")
+			return serve.NewSessionPool(p, c, s.Tok(), 0)
 		}, s.FastStepCap},
-		{"+ context expansion", func() baselines.Backend {
+		{"+ context expansion", func() serve.Grammar {
 			p := s.PDA("tab3-inline", g, pda.AllOptimizations)
 			c := s.Cache("tab3-ctx", p, maskcache.Options{ContextExpansion: true})
-			return baselines.NewXGBackend(p, c, s.Tok(), "xgrammar")
+			return serve.NewSessionPool(p, c, s.Tok(), 0)
 		}, s.FastStepCap},
 	}
 	var prev time.Duration

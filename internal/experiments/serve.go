@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"xgrammar/internal/baselines"
 	"xgrammar/internal/engine"
 	"xgrammar/internal/llmsim"
 	"xgrammar/internal/maskcache"
@@ -39,20 +38,18 @@ type ServeResult struct {
 func (s *Suite) serveWorkload(gap time.Duration) []*engine.StreamRequest {
 	jsonPDA := s.PDA("json-opt", s.cfgTasks()[0].grammar, pda.AllOptimizations)
 	jsonCache := s.Cache("json-opt", jsonPDA, maskcache.Options{ContextExpansion: true})
-	jsonBackend := baselines.NewPooledXGBackend(
-		serve.NewSessionPool(jsonPDA, jsonCache, s.Tok(), 0), "json")
+	jsonBackend := serve.NewSessionPool(jsonPDA, jsonCache, s.Tok(), 0)
 
 	art := s.Schemas()[0]
 	schemaCache := s.Cache("schema-"+art.Task.Name, art.PDA, maskcache.Options{ContextExpansion: true})
-	schemaBackend := baselines.NewPooledXGBackend(
-		serve.NewSessionPool(art.PDA, schemaCache, s.Tok(), 0), "schema")
+	schemaBackend := serve.NewSessionPool(art.PDA, schemaCache, s.Tok(), 0)
 
 	n := 2 * s.NumDocs
 	docs := workload.JSONDocs(s.NumDocs, 7)
 	reqs := make([]*engine.StreamRequest, n)
 	for i := 0; i < n; i++ {
 		target := docs[(i/2)%len(docs)]
-		backend := baselines.Backend(jsonBackend)
+		backend := jsonBackend
 		init := s.InitTime("json-opt")
 		if i%2 == 1 {
 			target = art.Task.Instance

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"xgrammar/internal/baselines"
 	"xgrammar/internal/maskcache"
 	"xgrammar/internal/pda"
 )
@@ -12,10 +11,6 @@ import (
 // so accuracy.go reads cleanly.
 func maskcacheOptions() maskcache.Options {
 	return maskcache.Options{ContextExpansion: true}
-}
-
-func xgBackend(p *pda.PDA, c *maskcache.Cache, s *Suite) *baselines.XGBackend {
-	return baselines.NewXGBackend(p, c, s.Tok(), "xgrammar")
 }
 
 // Stats reproduces the in-text statistics of §3.1–§3.3: the fraction of

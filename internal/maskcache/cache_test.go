@@ -68,7 +68,7 @@ func TestMaskMatchesFullScan(t *testing.T) {
 		p, tok, c := buildAll(t, jsonGrammar, 800, cfg.copts, cfg.popts)
 		_ = p
 		exec := matcher.NewExec(c.P)
-		fc := NewFillContext(tok.VocabSize())
+		fc := NewFillContext()
 		got := bitset.New(tok.VocabSize())
 		want := bitset.New(tok.VocabSize())
 		for _, doc := range docs {
@@ -119,7 +119,7 @@ func TestMaskedTokensActuallyAdvance(t *testing.T) {
 	// sample of disallowed tokens must not be.
 	_, tok, c := buildAll(t, jsonGrammar, 600, Options{ContextExpansion: true}, pda.AllOptimizations)
 	exec := matcher.NewExec(c.P)
-	fc := NewFillContext(tok.VocabSize())
+	fc := NewFillContext()
 	mask := bitset.New(tok.VocabSize())
 	m := matcher.New(exec, 0)
 	rng := rand.New(rand.NewSource(7))
@@ -152,7 +152,7 @@ func TestMaskedTokensActuallyAdvance(t *testing.T) {
 func TestStopTokenOnlyAtTermination(t *testing.T) {
 	_, tok, c := buildAll(t, jsonGrammar, 400, Options{ContextExpansion: true}, pda.AllOptimizations)
 	exec := matcher.NewExec(c.P)
-	fc := NewFillContext(tok.VocabSize())
+	fc := NewFillContext()
 	mask := bitset.New(tok.VocabSize())
 	m := matcher.New(exec, 0)
 
@@ -260,7 +260,7 @@ func TestCacheOnRecursiveGrammarSmall(t *testing.T) {
 	src := `root ::= "(" root ")" | "x"`
 	_, tok, c := buildAll(t, src, 300, Options{ContextExpansion: true}, pda.AllOptimizations)
 	exec := matcher.NewExec(c.P)
-	fc := NewFillContext(tok.VocabSize())
+	fc := NewFillContext()
 	got := bitset.New(tok.VocabSize())
 	want := bitset.New(tok.VocabSize())
 	m := matcher.New(exec, 0)

@@ -12,10 +12,9 @@ import (
 // simulator for context-dependent tokens) is reused across steps, so
 // steady-state mask generation performs no heap allocations.
 type FillContext struct {
-	nodes    []int32
-	ctxIDs   []int32
-	ctxTmp   []int32 // union scratch for the per-node ctx lists
-	byteRank []int32 // token id -> lexicographic rank, built lazily
+	nodes  []int32
+	ctxIDs []int32
+	ctxTmp []int32 // union scratch for the per-node ctx lists
 	// Dense-merge scratch: reject-list nodes without a canonical mask, and
 	// double-buffered except-list intersection.
 	rejNodes   []int32
@@ -38,11 +37,9 @@ type FillStats struct {
 	FastPath bool
 }
 
-// NewFillContext returns a scratch context for a vocabulary of the given size.
-func NewFillContext(vocab int) *FillContext {
-	_ = vocab
-	return &FillContext{}
-}
+// NewFillContext returns an empty scratch context; its buffers grow on
+// first use.
+func NewFillContext() *FillContext { return &FillContext{} }
 
 // FillMask computes the complete token mask for the current (closed) state
 // set. The context-independent phase is a fused word-level merge: the final
@@ -127,7 +124,7 @@ func (c *Cache) FillMask(exec *matcher.Exec, states []matcher.State, mask *bitse
 		fc.ctxIDs = bitset.UnionSorted(fc.ctxIDs[:0], fc.ctxTmp, c.Nodes[n].Ctx)
 	}
 	if len(fc.ctxIDs) > 0 {
-		c.sortByBytes(fc.ctxIDs, fc)
+		c.sortByBytes(fc.ctxIDs)
 		sim := &fc.sim
 		sim.init(exec, exec.CloneSetInto(exec.GetSet(), states))
 		for _, id := range fc.ctxIDs {
@@ -160,14 +157,8 @@ func (c *Cache) FillMask(exec *matcher.Exec, states []matcher.State, mask *bitse
 
 // sortByBytes orders token ids by the lexicographic rank of their bytes, the
 // order that maximizes prefix sharing during resolution. slices.SortFunc on
-// the id slice with a rank lookup is allocation-free.
-func (c *Cache) sortByBytes(ids []int32, fc *FillContext) {
-	if fc.byteRank == nil {
-		fc.byteRank = make([]int32, c.Vocab)
-		for rank, id := range c.Tok.SortedRegularIDs() {
-			fc.byteRank[id] = int32(rank)
-		}
-	}
-	rank := fc.byteRank
+// the id slice with the tokenizer's shared rank table is allocation-free.
+func (c *Cache) sortByBytes(ids []int32) {
+	rank := c.Tok.ByteRanks()
 	slices.SortFunc(ids, func(a, b int32) int { return int(rank[a]) - int(rank[b]) })
 }

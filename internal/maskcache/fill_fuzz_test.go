@@ -87,7 +87,7 @@ func FuzzFillMerge(f *testing.F) {
 			}
 		}
 		got := bitset.New(c.Vocab)
-		fc := NewFillContext(c.Vocab)
+		fc := NewFillContext()
 		st := c.FillMask(nil, states, got, false, fc)
 
 		if !got.Equal(want) {
@@ -117,7 +117,7 @@ func TestFillFastPathSingleCanonical(t *testing.T) {
 	got := bitset.New(c.Vocab)
 	// Pre-dirty the mask: the fast path overwrites, it must not OR.
 	got.SetAll()
-	fc := NewFillContext(c.Vocab)
+	fc := NewFillContext()
 	st := c.FillMask(nil, []matcher.State{{Node: 0}}, got, false, fc)
 	if !st.FastPath {
 		t.Fatal("single canonical node did not take the fast path")
@@ -142,21 +142,19 @@ func TestFillFastPathSingleCanonical(t *testing.T) {
 }
 
 // TestSortByBytesZeroAllocs pins the slices.SortFunc-based byte-rank sort at
-// zero allocations per call once the rank table is built.
+// zero allocations per call.
 func TestSortByBytesZeroAllocs(t *testing.T) {
 	tok := tokenizer.BuildDefault(500)
 	c := &Cache{Tok: tok, Vocab: tok.VocabSize()}
-	fc := NewFillContext(c.Vocab)
 	ids := append([]int32(nil), tok.SortedRegularIDs()...)
 	shuffled := append([]int32(nil), ids...)
 	rand.New(rand.NewSource(5)).Shuffle(len(shuffled), func(i, j int) {
 		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 	})
-	c.sortByBytes(ids, fc) // warm: builds the lazy rank table
 
 	allocs := testing.AllocsPerRun(50, func() {
 		copy(ids, shuffled)
-		c.sortByBytes(ids, fc)
+		c.sortByBytes(ids)
 	})
 	if allocs != 0 {
 		t.Fatalf("sortByBytes allocates %.1f times per call, want 0", allocs)
@@ -168,17 +166,16 @@ func TestSortByBytesZeroAllocs(t *testing.T) {
 func BenchmarkSortByBytes(b *testing.B) {
 	tok := tokenizer.BuildDefault(2000)
 	c := &Cache{Tok: tok, Vocab: tok.VocabSize()}
-	fc := NewFillContext(c.Vocab)
 	ids := append([]int32(nil), tok.SortedRegularIDs()...)
 	shuffled := append([]int32(nil), ids...)
 	rand.New(rand.NewSource(5)).Shuffle(len(shuffled), func(i, j int) {
 		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 	})
-	c.sortByBytes(ids, fc)
+	c.sortByBytes(ids)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(ids, shuffled)
-		c.sortByBytes(ids, fc)
+		c.sortByBytes(ids)
 	}
 }

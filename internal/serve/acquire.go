@@ -90,7 +90,7 @@ func (a *Acquirer) Acquire(forcedPrefix []byte) (*Session, AcquireResult, error)
 	}
 	start := 0
 	if e, depth := a.cache.Lookup(a.grammarID, forcedPrefix); e != nil && e.Checkpoint() != nil {
-		s.restoreCheckpoint(e.Checkpoint(), forcedPrefix[:depth])
+		s.RestoreCheckpoint(e.Checkpoint())
 		start = depth
 		res.Hit = true
 		res.ReusedBytes = depth
@@ -202,22 +202,15 @@ func (s *Session) publishPending() {
 	s.acq = nil
 }
 
-// restoreCheckpoint positions the pooled session at a cached checkpoint.
-// base records the prefix bytes the checkpoint stands in for, so a rollback
-// crossing the fork point can degrade to a cold reset (see Rollback).
-func (s *Session) restoreCheckpoint(cp *matcher.Checkpoint, base []byte) {
+// RestoreCheckpoint positions the session at a checkpoint previously
+// captured with Checkpoint, clearing the rollback history. The restored
+// position counts as one virtual step: rolling back across it degrades to
+// the grammar start state (see Rollback).
+func (s *Session) RestoreCheckpoint(cp *matcher.Checkpoint) {
 	s.m.Restore(cp)
-	s.base = append(s.base[:0], base...)
 	s.baseSteps = 1
 	s.terminated = false
 	s.dirty = true
-}
-
-// RestoreCheckpoint positions the session at a checkpoint previously
-// captured with Checkpoint, clearing the rollback history. Rolling back
-// past the restore point degrades to the grammar start state.
-func (s *Session) RestoreCheckpoint(cp *matcher.Checkpoint) {
-	s.restoreCheckpoint(cp, nil)
 }
 
 // Checkpoint returns a portable snapshot of the session's current grammar

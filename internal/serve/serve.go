@@ -8,7 +8,16 @@
 // probe the jump-forward continuation (Appendix B), and fill the next-step
 // token mask — into one Step call over resources (matcher, fill context,
 // mask buffer) that are recycled through a sync.Pool, so sequences joining
-// and leaving a running batch never re-allocate grammar state.
+// and leaving a running batch never re-allocate grammar state. Session is
+// the only XGrammar implementation of accept, fill, terminate and rollback:
+// the public Matcher, the serving Engine and the experiment harness all run
+// it.
+//
+// The package also owns the runtime grammar-session contract (Grammar,
+// GrammarSession, JumpForwarder) the decode loops schedule against.
+// *SessionPool implements it for XGrammar; the paper's comparators
+// (internal/baselines) and structural-tag dispatch (internal/structtag)
+// implement it too.
 package serve
 
 import (
@@ -22,6 +31,35 @@ import (
 	"xgrammar/internal/pda"
 	"xgrammar/internal/tokenizer"
 )
+
+// Grammar hands out constrained-decoding sessions for one compiled grammar
+// and tokenizer.
+type Grammar interface {
+	// Name identifies the implementation in experiment tables and errors.
+	Name() string
+	// NewSession starts a fresh generation.
+	NewSession() GrammarSession
+}
+
+// GrammarSession tracks one constrained generation.
+type GrammarSession interface {
+	// FillMask writes the allowed-token bitmask for the next step.
+	FillMask(mask *bitset.Bitset)
+	// Accept advances by one token (EOS terminates).
+	Accept(id int32) error
+	// CanTerminate reports whether EOS is currently legal.
+	CanTerminate() bool
+	// IsTerminated reports whether EOS was accepted.
+	IsTerminated() bool
+}
+
+// JumpForwarder is implemented by sessions that support jump-forward
+// decoding (Appendix B): JumpForward finds the deterministic continuation
+// and AcceptString inserts it.
+type JumpForwarder interface {
+	JumpForward() string
+	AcceptString(text string) error
+}
 
 // SessionPool recycles decoding sessions for one compiled grammar. Acquire
 // returns a session at the grammar start state; Release (or Session.Close)
@@ -44,6 +82,13 @@ func NewSessionPool(p *pda.PDA, cache *maskcache.Cache, tok *tokenizer.Tokenizer
 	return &SessionPool{p: p, cache: cache, tok: tok, maxHistory: maxHistory}
 }
 
+// Name implements Grammar.
+func (sp *SessionPool) Name() string { return "xgrammar" }
+
+// NewSession implements Grammar by acquiring a pooled session; the caller
+// hands it back with Close.
+func (sp *SessionPool) NewSession() GrammarSession { return sp.Acquire() }
+
 // Acquire returns a session at the grammar start state, reusing a released
 // one when available.
 func (sp *SessionPool) Acquire() *Session {
@@ -52,18 +97,25 @@ func (sp *SessionPool) Acquire() *Session {
 		return v.(*Session)
 	}
 	sp.created.Add(1)
-	exec := matcher.NewExec(sp.p)
-	words := bitset.WordsFor(sp.tok.VocabSize())
-	s := &Session{
-		sp:    sp,
-		exec:  exec,
-		m:     matcher.New(exec, sp.maxHistory),
-		fc:    maskcache.NewFillContext(sp.tok.VocabSize()),
-		mask:  make([]uint64, words),
-		dirty: true,
-	}
+	s := sp.Unpooled()
+	s.mask = make([]uint64, bitset.WordsFor(sp.tok.VocabSize()))
 	s.bs = bitset.FromWords(s.mask, sp.tok.VocabSize())
 	return s
+}
+
+// Unpooled returns a fresh session at the grammar start state that the pool
+// neither supplied nor counts. It never needs Close: a caller that drops it
+// leaves it to the garbage collector, so standalone matchers never touch
+// the pool's recycling counters. An unpooled session has no mask buffer of
+// its own: it fills caller masks through FillMask/FillInto, and Step, Fill
+// and Mask are for pooled sessions only.
+func (sp *SessionPool) Unpooled() *Session {
+	exec := matcher.NewExec(sp.p)
+	return sp.newSession(exec, matcher.New(exec, sp.maxHistory))
+}
+
+func (sp *SessionPool) newSession(exec *matcher.Exec, m *matcher.Matcher) *Session {
+	return &Session{sp: sp, exec: exec, m: m, fc: maskcache.NewFillContext(), dirty: true}
 }
 
 // Release resets the session and returns it to the pool. When the session
@@ -73,12 +125,7 @@ func (sp *SessionPool) Acquire() *Session {
 // not be used afterwards.
 func (sp *SessionPool) Release(s *Session) {
 	s.publishPending()
-	s.base = s.base[:0]
-	s.baseSteps = 0
-	s.m.Reset()
-	s.terminated = false
-	s.dirty = true
-	s.lastStats = maskcache.FillStats{}
+	s.Reset()
 	sp.pool.Put(s)
 }
 
@@ -113,9 +160,9 @@ type StepResult struct {
 
 // Session tracks one generation over pooled grammar resources: a matcher, a
 // mask-fill scratch context, and the session's own mask buffer. In steady
-// state Step performs no heap allocations. A Session also satisfies the
-// baselines.Session and baselines.JumpForwarder interfaces, so the serving
-// engine can schedule pooled sessions like any other grammar backend.
+// state Step performs no heap allocations. A Session satisfies
+// GrammarSession and JumpForwarder, so the serving engine schedules pooled
+// sessions like any other grammar.
 type Session struct {
 	sp   *SessionPool
 	exec *matcher.Exec
@@ -131,12 +178,11 @@ type Session struct {
 	lastStats  maskcache.FillStats
 	terminated bool
 	// Warm-start state, set when the session came through an Acquirer: acq
-	// publishes pending checkpoint captures at Release; base/baseSteps
-	// record the prefix the restored checkpoint stands in for, so Rollback
-	// can degrade past the fork point (see Rollback).
+	// publishes pending checkpoint captures at Release; baseSteps counts the
+	// virtual step a restored checkpoint stands in for, so Rollback can
+	// degrade past the fork point (see Rollback).
 	acq       *Acquirer
 	pending   []pendingPub
-	base      []byte
 	baseSteps int
 }
 
@@ -183,7 +229,7 @@ func (s *Session) FillTracked() (stats maskcache.FillStats, computed bool) {
 	if !s.dirty {
 		return s.lastStats, false
 	}
-	s.lastStats = s.fillInto(s.bs)
+	s.lastStats = s.FillInto(s.bs)
 	s.dirty = false
 	return s.lastStats, true
 }
@@ -193,10 +239,12 @@ func (s *Session) FillTracked() (stats maskcache.FillStats, computed bool) {
 func (s *Session) Mask() []uint64 { return s.mask }
 
 // FillMask fills the allowed-token mask into a caller-provided bitset (the
-// baselines.Session fill path used by the serving engine).
-func (s *Session) FillMask(mask *bitset.Bitset) { s.fillInto(mask) }
+// GrammarSession fill path used by the serving engine).
+func (s *Session) FillMask(mask *bitset.Bitset) { s.FillInto(mask) }
 
-func (s *Session) fillInto(mask *bitset.Bitset) maskcache.FillStats {
+// FillInto is FillMask returning the fill statistics. It leaves the
+// session's own Mask untouched.
+func (s *Session) FillInto(mask *bitset.Bitset) maskcache.FillStats {
 	if s.terminated {
 		mask.ClearAll()
 		return maskcache.FillStats{}
@@ -222,7 +270,9 @@ func (s *Session) Accept(id int32) error {
 			return fmt.Errorf("serve: stop token before grammar completion")
 		}
 		s.terminated = true
-		s.bs.ClearAll()
+		if s.bs != nil {
+			s.bs.ClearAll()
+		}
 		s.dirty = false
 		s.lastStats = maskcache.FillStats{}
 		return nil
@@ -302,7 +352,6 @@ func (s *Session) Rollback(n int) error {
 			return err
 		}
 		s.m.Reset()
-		s.base = s.base[:0]
 		s.baseSteps = 0
 	}
 	if s.terminated && n > 0 {
@@ -326,6 +375,34 @@ func (s *Session) CanTerminate() bool { return !s.terminated && s.m.CanTerminate
 
 // IsTerminated reports whether the stop token has been accepted.
 func (s *Session) IsTerminated() bool { return s.terminated }
+
+// NumStacks returns the number of live PDA stacks (a measure of grammar
+// ambiguity at this point).
+func (s *Session) NumStacks() int { return s.m.NumStacks() }
+
+// Reset returns the session to the grammar start state.
+func (s *Session) Reset() {
+	s.m.Reset()
+	s.baseSteps = 0
+	s.terminated = false
+	s.dirty = true
+	s.lastStats = maskcache.FillStats{}
+}
+
+// Fork returns an unpooled session (see Unpooled) at the same position in
+// O(current states), with an empty rollback history: the fork shares the
+// persistent stack tree (§3.3) and the execution context, so a session and
+// its forks must be driven from one goroutine. Call Discard on forks you
+// abandon.
+func (s *Session) Fork() *Session {
+	f := s.sp.newSession(s.exec, s.m.Fork())
+	f.terminated = s.terminated
+	return f
+}
+
+// Discard releases an unpooled session's stacks so the shared stack tree
+// can reclaim memory. The session must not be used afterwards.
+func (s *Session) Discard() { s.m.Release() }
 
 // Close releases the session back to its pool. The session must not be used
 // afterwards.

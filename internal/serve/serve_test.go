@@ -46,7 +46,7 @@ func referenceMask(e env, doc string) *bitset.Bitset {
 		panic("reference advance failed: " + doc)
 	}
 	mask := bitset.New(e.tok.VocabSize())
-	e.cache.FillMask(exec, m.States(), mask, m.CanTerminate(), maskcache.NewFillContext(e.tok.VocabSize()))
+	e.cache.FillMask(exec, m.States(), mask, m.CanTerminate(), maskcache.NewFillContext())
 	return mask
 }
 

@@ -29,7 +29,7 @@ const maxSegmentSpans = 32
 // Session is one generation driven through the dispatcher. Like a
 // serve.Session it owns its mask buffer, is driven from one goroutine, and
 // returns to its pool on Close. It satisfies the serving engine's session
-// surfaces (baselines.Session, the engine's JumpForwarder, and the
+// surfaces (serve.GrammarSession, serve.JumpForwarder, and the
 // speculative decoder's Sequencer), so every decode mode — plain,
 // overlapped batch fill, jump-forward insertion, speculative draft-verify —
 // works unchanged on top of structural-tag dispatch.
@@ -339,7 +339,7 @@ func (s *Session) FillTracked() (maskcache.FillStats, bool) {
 func (s *Session) Mask() []uint64 { return s.mask }
 
 // FillMask writes the allowed-token mask into a caller-provided bitset (the
-// engine's baselines.Session fill path).
+// engine's serve.GrammarSession fill path).
 func (s *Session) FillMask(mask *bitset.Bitset) {
 	s.Fill()
 	copy(mask.Words(), s.mask)

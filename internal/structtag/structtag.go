@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"sync"
 
-	"xgrammar/internal/baselines"
 	"xgrammar/internal/bitset"
 	"xgrammar/internal/matcher"
 	"xgrammar/internal/serve"
@@ -129,6 +128,13 @@ func (ts *Set) Tags() []Tag { return ts.tags }
 // Tok returns the tokenizer the set dispatches over.
 func (ts *Set) Tok() *tokenizer.Tokenizer { return ts.tok }
 
+// Name implements serve.Grammar.
+func (ts *Set) Name() string { return "structtag" }
+
+// NewSession implements serve.Grammar: every session is a pooled
+// dispatcher session starting in free-text mode.
+func (ts *Set) NewSession() serve.GrammarSession { return ts.Acquire() }
+
 // Acquire returns a dispatcher session in free-text mode at the stream
 // start, recycling a closed one when available. The session's mask is not
 // yet filled; call Fill (or let the first Step do it).
@@ -159,27 +165,3 @@ type stepRec struct {
 	// one back takes the replay slow path.
 	transition bool
 }
-
-// Backend adapts a Set to the engine's grammar-backend interface: every
-// NewSession is a pooled dispatcher session starting in free-text mode.
-type Backend struct {
-	set  *Set
-	name string
-}
-
-// NewBackend wraps a tag set as an engine backend.
-func NewBackend(set *Set, name string) *Backend {
-	if name == "" {
-		name = "structtag"
-	}
-	return &Backend{set: set, name: name}
-}
-
-// Name implements baselines.Backend.
-func (b *Backend) Name() string { return b.name }
-
-// NewSession implements baselines.Backend.
-func (b *Backend) NewSession() baselines.Session { return b.set.Acquire() }
-
-// Set returns the underlying tag set.
-func (b *Backend) Set() *Set { return b.set }

@@ -29,10 +29,17 @@ type Tokenizer struct {
 	// sortedRegular holds non-special token ids ordered lexicographically by
 	// token bytes — the order the mask-cache preprocessor consumes (§3.3).
 	sortedRegular []int32
+	// byteRank maps a token id to its position in sortedRegular (0 for
+	// special tokens); mask fills sort context-dependent ids by it.
+	byteRank []int32
 
 	fpOnce sync.Once
 	fp     uint64
 
+	// The word-encoding memo is locked on every encoded word, concurrently
+	// with mask fills reading the tables above; the pad keeps its lock off
+	// their cache lines.
+	_     [64]byte
 	mu    sync.Mutex
 	cache map[string][]int32
 }
@@ -62,6 +69,10 @@ func (t *Tokenizer) finish() {
 	sort.Slice(t.sortedRegular, func(i, j int) bool {
 		return bytes.Compare(t.tokens[t.sortedRegular[i]], t.tokens[t.sortedRegular[j]]) < 0
 	})
+	t.byteRank = make([]int32, len(t.tokens))
+	for rank, id := range t.sortedRegular {
+		t.byteRank[id] = int32(rank)
+	}
 }
 
 // VocabSize returns the number of tokens including specials.
@@ -82,6 +93,10 @@ func (t *Tokenizer) SpecialIDs() []int32 { return []int32{PadID, BosID, EosID} }
 // SortedRegularIDs returns non-special token ids in lexicographic byte
 // order. Callers must not modify the slice.
 func (t *Tokenizer) SortedRegularIDs() []int32 { return t.sortedRegular }
+
+// ByteRanks maps each token id to its index in SortedRegularIDs (special
+// tokens map to 0). Callers must not modify the slice.
+func (t *Tokenizer) ByteRanks() []int32 { return t.byteRank }
 
 // Fingerprint returns a stable FNV-1a hash over the full vocabulary: the
 // token count and the length-prefixed bytes of every token in id order. Two

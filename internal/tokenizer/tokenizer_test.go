@@ -128,9 +128,13 @@ func TestSortedRegularIDs(t *testing.T) {
 	}) {
 		t.Fatal("not sorted by bytes")
 	}
-	for _, id := range ids {
+	ranks := tk.ByteRanks()
+	for rank, id := range ids {
 		if tk.IsSpecial(id) {
 			t.Fatal("special token in regular list")
+		}
+		if ranks[id] != int32(rank) {
+			t.Fatalf("ByteRanks()[%d] = %d, want %d", id, ranks[id], rank)
 		}
 	}
 }

@@ -1,10 +1,13 @@
 package xgrammar
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
+
+	"xgrammar/internal/serve"
 )
 
 func testTokenizer(t testing.TB) *TokenizerInfo {
@@ -178,6 +181,102 @@ func TestRollbackAcrossTermination(t *testing.T) {
 	// Back at the start; a fresh document must parse.
 	if err := m.AcceptString(`{"x": true}`); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEndOfGenerationSemantics runs one end-of-generation script through
+// every way of driving a grammar — the public Matcher, an Engine session and
+// a raw serving session — and requires identical observations: after EOS the
+// session is terminated, cannot terminate again, fills an all-zero mask and
+// rejects a second EOS; rolling EOS back reopens the completed document.
+func TestEndOfGenerationSemantics(t *testing.T) {
+	cg := mustCompileJSON(t)
+	info := cg.TokenizerInfo()
+	eos := info.EOSTokenID()
+	type surface struct {
+		accept   func(int32) error
+		fill     func() []uint64
+		rollback func(int) error
+		isTerm   func() bool
+		canTerm  func() bool
+	}
+	m := NewMatcher(cg)
+	matcherMask := make([]uint64, cg.MaskWords())
+	es := NewEngine(NewCompiler(info)).OpenSession(cg)
+	defer es.Close()
+	raw := serve.NewSessionPool(cg.pda, cg.cache, info.Raw(), cg.cfg.maxHistory).Acquire()
+	defer raw.Close()
+	surfaces := map[string]surface{
+		"Matcher": {m.AcceptToken, func() []uint64 {
+			if _, err := m.FillNextTokenBitmask(matcherMask); err != nil {
+				t.Fatal(err)
+			}
+			return matcherMask
+		}, m.Rollback, m.IsTerminated, m.CanTerminate},
+		"Engine.OpenSession": {es.Accept, func() []uint64 { es.Fill(); return es.Mask() },
+			es.Rollback, es.IsTerminated, es.CanTerminate},
+		"serve.Session": {raw.Accept, func() []uint64 { raw.Fill(); return raw.Mask() },
+			raw.Rollback, raw.IsTerminated, raw.CanTerminate},
+	}
+	bitOn := func(mask []uint64, id int32) bool { return mask[id>>6]&(1<<uint(id&63)) != 0 }
+	anyBit := func(mask []uint64) bool {
+		for _, w := range mask {
+			if w != 0 {
+				return true
+			}
+		}
+		return false
+	}
+	want := []string{
+		"complete/canTerm=true", "complete/eosAllowed=true",
+		"eos/accepted=true", "eos/isTerm=true", "eos/canTerm=false",
+		"eos/maskNonZero=false", "eos/secondEOSAccepted=false",
+		"rollback/ok=true", "rollback/isTerm=false", "rollback/canTerm=true",
+		"rollback/eosAllowed=true",
+		"reaccept/accepted=true", "reaccept/isTerm=true", "reaccept/canTerm=false",
+	}
+	for _, name := range []string{"Matcher", "Engine.OpenSession", "serve.Session"} {
+		d := surfaces[name]
+		var got []string
+		note := func(step string, v bool) { got = append(got, fmt.Sprintf("%s=%v", step, v)) }
+		for _, id := range info.Encode(`{"a": [1, 2]}`) {
+			if err := d.accept(id); err != nil {
+				t.Fatalf("%s: accept %d: %v", name, id, err)
+			}
+		}
+		note("complete/canTerm", d.canTerm())
+		note("complete/eosAllowed", bitOn(d.fill(), eos))
+		note("eos/accepted", d.accept(eos) == nil)
+		note("eos/isTerm", d.isTerm())
+		note("eos/canTerm", d.canTerm())
+		note("eos/maskNonZero", anyBit(d.fill()))
+		note("eos/secondEOSAccepted", d.accept(eos) == nil)
+		note("rollback/ok", d.rollback(1) == nil)
+		note("rollback/isTerm", d.isTerm())
+		note("rollback/canTerm", d.canTerm())
+		note("rollback/eosAllowed", bitOn(d.fill(), eos))
+		note("reaccept/accepted", d.accept(eos) == nil)
+		note("reaccept/isTerm", d.isTerm())
+		note("reaccept/canTerm", d.canTerm())
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("%s end-of-generation semantics:\n got %v\nwant %v", name, got, want)
+		}
+	}
+}
+
+// TestMatcherBypassesSessionPool pins that standalone matchers and their
+// branches neither draw from nor return to the grammar's serving-session
+// pool, so SessionPoolStats counts serving recycling only.
+func TestMatcherBypassesSessionPool(t *testing.T) {
+	cg := mustCompileJSON(t, WithoutCompileCache())
+	m := NewMatcher(cg)
+	if err := m.AcceptString(`[1`); err != nil {
+		t.Fatal(err)
+	}
+	m.Branch().Discard()
+	m.Reset()
+	if created, reused := cg.SessionPoolStats(); created != 0 || reused != 0 {
+		t.Fatalf("matcher touched the session pool: created %d, reused %d", created, reused)
 	}
 }
 
